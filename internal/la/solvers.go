@@ -14,6 +14,12 @@ type Ops struct {
 	MatVec func(x, y []float64)         // y = A x
 	Dot    func(x, y []float64) float64 // global inner product
 
+	// Dot2 optionally returns the two global inner products x1·y1 and
+	// x2·y2 from one reduction round — a distributed Ops fuses the two
+	// allreduces into one. Each value must equal what Dot returns for its
+	// pair, bit for bit; nil falls back to two Dot calls.
+	Dot2 func(x1, y1, x2, y2 []float64) (float64, float64)
+
 	// Vec optionally parallelizes the solver-internal vector updates
 	// (axpys and fused recurrences) over a worker pool. nil runs them
 	// serially; either way the updates are element-wise with disjoint
@@ -38,6 +44,15 @@ func ParOpsFromMatrix(a *CSRMatrix, par *ParOps) Ops {
 		Dot:    par.Dot,
 		Vec:    par,
 	}
+}
+
+// dot2 returns x1·y1 and x2·y2 through Dot2 when the Ops fuse them, else
+// through two Dot calls; the values are the same either way.
+func (ops Ops) dot2(x1, y1, x2, y2 []float64) (float64, float64) {
+	if ops.Dot2 != nil {
+		return ops.Dot2(x1, y1, x2, y2)
+	}
+	return ops.Dot(x1, y1), ops.Dot(x2, y2)
 }
 
 // SolveStats reports the outcome of an iterative solve.
@@ -127,11 +142,12 @@ func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol
 	}
 	precond(r, z)
 	copy(p, z)
-	rz := ops.Dot(r, z)
+	// r·z and the next residual check's r·r read the same r, so every
+	// iteration fetches both in one reduction round.
+	rz, rr := ops.dot2(r, z, r, r)
 	var stats SolveStats
 	for k := 0; k < maxIter; k++ {
-		rnorm := math.Sqrt(ops.Dot(r, r))
-		stats.Residual = rnorm / bnorm
+		stats.Residual = math.Sqrt(rr) / bnorm
 		if nonFinite(stats.Residual) {
 			return stats, ErrNonFinite
 		}
@@ -148,14 +164,14 @@ func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol
 		ops.Vec.Axpy(alpha, p, x)
 		ops.Vec.Axpy(-alpha, ap, r)
 		precond(r, z)
-		rzNew := ops.Dot(r, z)
+		var rzNew float64
+		rzNew, rr = ops.dot2(r, z, r, r)
 		ws.beta = rzNew / rz
 		rz = rzNew
 		ops.Vec.Range(n, ws.pcgP)
 		stats.Iterations = k + 1
 	}
-	rnorm := math.Sqrt(ops.Dot(r, r))
-	stats.Residual = rnorm / bnorm
+	stats.Residual = math.Sqrt(rr) / bnorm
 	if nonFinite(stats.Residual) {
 		return stats, ErrNonFinite
 	}
@@ -193,8 +209,8 @@ func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	var stats SolveStats
 	for k := 0; k < maxIter; k++ {
-		rnorm := math.Sqrt(ops.Dot(r, r))
-		stats.Residual = rnorm / bnorm
+		rr, rhoNew := ops.dot2(r, r, rhat, r)
+		stats.Residual = math.Sqrt(rr) / bnorm
 		if nonFinite(stats.Residual) {
 			return stats, ErrNonFinite
 		}
@@ -202,7 +218,6 @@ func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64
 			stats.Converged = true
 			return stats, nil
 		}
-		rhoNew := ops.Dot(rhat, r)
 		if rhoNew == 0 {
 			return stats, ErrBreakdown
 		}
@@ -237,11 +252,11 @@ func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64
 		}
 		precond(s, shat)
 		ops.MatVec(shat, t)
-		tt := ops.Dot(t, t)
+		tt, ts := ops.dot2(t, t, t, s)
 		if tt == 0 {
 			return stats, ErrBreakdown
 		}
-		omega = ops.Dot(t, s) / tt
+		omega = ts / tt
 		if omega == 0 {
 			return stats, ErrBreakdown
 		}

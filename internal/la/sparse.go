@@ -149,12 +149,18 @@ func (a *CSRMatrix) MulVec(x, y []float64) {
 
 // mulVecRows computes y[lo:hi] = (A x)[lo:hi]. Each row is reduced
 // serially left to right, so row-blocked parallel execution (ParOps)
-// produces exactly the serial MulVec bits.
+// produces exactly the serial MulVec bits. The inner loop walks per-row
+// sub-slices of Col and Val (Val resliced to the column count), so only
+// the gather x[c] keeps a bounds check.
 func (a *CSRMatrix) mulVecRows(x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	ptr := a.Ptr[lo : hi+1]
+	y = y[lo:hi]
+	for i := range y {
+		cols := a.Col[ptr[i]:ptr[i+1]]
+		vals := a.Val[ptr[i]:ptr[i+1]][:len(cols)]
 		sum := 0.0
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
+		for k, c := range cols {
+			sum += vals[k] * x[c]
 		}
 		y[i] = sum
 	}

@@ -188,6 +188,8 @@ type Solver struct {
 	momInv     []float64 // momentum Jacobi inverse (refreshed per step)
 	momPrecond func(r, z []float64)
 	lPrecond   func(r, z []float64)
+	// dot2Buf holds dotOwned2's two partials, reduced in place.
+	dot2Buf [2]float64
 
 	asmKernel, sgsKernel tasking.Kernel
 	asmPlain, asmAtomic  *tasking.Scatter
@@ -390,9 +392,21 @@ func (s *Solver) dotOwned(x, y []float64) float64 {
 	return s.Comm.AllreduceFloat64(local, simmpi.OpSum)
 }
 
+// dotOwned2 computes two global inner products over owned nodes in one
+// allreduce round. The two-element sum folds the ranks' partials in the
+// same ascending rank order as the scalar allreduce, so each value is
+// bit-identical to dotOwned's.
+func (s *Solver) dotOwned2(x1, y1, x2, y2 []float64) (float64, float64) {
+	s.dot2Buf[0] = s.par.MaskedDot(s.RM.Owned, x1, y1)
+	s.dot2Buf[1] = s.par.MaskedDot(s.RM.Owned, x2, y2)
+	s.Comm.AllreduceFloat64sInto(s.dot2Buf[:], simmpi.OpSum, s.dot2Buf[:])
+	return s.dot2Buf[0], s.dot2Buf[1]
+}
+
 // ops builds the distributed Krylov operations for matrix a: row-blocked
 // pool-parallel SpMV plus halo exchange, the deterministic owned-node
-// inner product, and pool-parallel vector updates inside the solvers.
+// inner products (single and fused pairs), and pool-parallel vector
+// updates inside the solvers.
 func (s *Solver) ops(a *la.CSRMatrix) la.Ops {
 	return la.Ops{
 		N: a.N,
@@ -400,8 +414,9 @@ func (s *Solver) ops(a *la.CSRMatrix) la.Ops {
 			s.par.MulVec(a, x, y)
 			s.haloSum(y)
 		},
-		Dot: s.dotOwned,
-		Vec: s.par,
+		Dot:  s.dotOwned,
+		Dot2: s.dotOwned2,
+		Vec:  s.par,
 	}
 }
 

@@ -137,9 +137,10 @@ func WithFaultPlan(p *FaultPlan) Option {
 // World.Run returns as a typed error. Zero disables the watchdog.
 //
 // The deadline is per operation, so it bounds detection latency of a
-// lost peer, not total run time. Blocking waits allocate one timer each
-// while a watchdog is installed; worlds without one keep the zero-alloc
-// steady state.
+// lost peer, not total run time. A wait that parks (after its spin, see
+// wait.go) allocates one timer while a watchdog is installed; waits
+// satisfied while spinning, and worlds without a watchdog, keep the
+// zero-alloc steady state.
 func WithWatchdog(d time.Duration) Option {
 	return func(w *World) { w.watchdog = d }
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -131,10 +132,13 @@ func (w *World) RanksOnNode(node int) []int {
 func (w *World) Run(body func(r *Rank)) error {
 	var wg sync.WaitGroup
 	errs := make([]error, w.size)
+	sampleCores()
 	for rank := 0; rank < w.size; rank++ {
 		wg.Add(1)
+		liveRanks.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer liveRanks.Add(-1)
 			defer func() {
 				if p := recover(); p != nil {
 					switch e := p.(type) {
@@ -231,11 +235,25 @@ type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[msgKey]*msgQueue
-	free   []*msgQueue // recycled empty queues
+	free   []*msgQueue   // recycled empty queues
+	puts   atomic.Uint64 // messages ever put; spinning receivers poll it
 }
 
+// mailboxSeed is the number of queues a new mailbox starts with on its
+// freelist. Ranks running truly in parallel reach their in-flight peak
+// (a peer one exchange ahead leaves two keys live per peer) at a moment
+// scheduling picks, possibly long after warm-up; seeding the freelist
+// moves that growth to construction.
+const mailboxSeed = 4
+
 func newMailbox() *mailbox {
-	mb := &mailbox{queues: make(map[msgKey]*msgQueue)}
+	mb := &mailbox{
+		queues: make(map[msgKey]*msgQueue, 2*mailboxSeed),
+		free:   make([]*msgQueue, mailboxSeed, 2*mailboxSeed),
+	}
+	for i := range mb.free {
+		mb.free[i] = &msgQueue{buf: make([]message, 0, 2)}
+	}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -255,6 +273,11 @@ func (mb *mailbox) put(key msgKey, m message) {
 	}
 	q.buf = append(q.buf, m)
 	mb.mu.Unlock()
+	// Counted after the unlock, so a spinning receiver that sees the
+	// count move finds the lock free. The message is already queued, so
+	// a receiver that snapshotted the count under mb.mu and missed it in
+	// the queue is bound to see the count move.
+	mb.puts.Add(1)
 	mb.cond.Broadcast()
 }
 
@@ -275,13 +298,18 @@ func (mb *mailbox) popLocked(key msgKey, q *msgQueue) message {
 }
 
 // take blocks until a message for key arrives, or until deadline (the
-// zero time waits forever). It reports false on expiry. The watchdog
-// timer broadcasts after an empty lock/unlock of mb.mu, which orders the
+// zero time waits forever). It reports false on expiry. When the wait
+// policy allows (see wait.go) it first spins on the put counter, and
+// only a wait that goes on to park arms the watchdog timer. The timer
+// broadcasts after an empty lock/unlock of mb.mu, which orders the
 // wakeup after any waiter that checked the deadline has entered Wait —
 // without it the broadcast could land between check and Wait and be
 // lost.
 func (mb *mailbox) take(key msgKey, deadline time.Time) (message, bool) {
 	mb.mu.Lock()
+	if m, ok := mb.spinLocked(key); ok {
+		return m, true
+	}
 	var timer *time.Timer
 	if !deadline.IsZero() {
 		timer = time.AfterFunc(time.Until(deadline), func() {
@@ -303,6 +331,35 @@ func (mb *mailbox) take(key msgKey, deadline time.Time) (message, bool) {
 		}
 		mb.cond.Wait()
 	}
+}
+
+// spinLocked is the spin phase of take: while the wait policy allows, it
+// polls the put counter with mb.mu released and re-checks key's queue
+// whenever a message lands. On success it returns the message with mb.mu
+// released; otherwise it returns with mb.mu held, ready to park.
+func (mb *mailbox) spinLocked(key msgKey) (message, bool) {
+	if !spinAllowed() {
+		return message{}, false
+	}
+	seen := mb.puts.Load()
+	mb.mu.Unlock()
+	var sp spinner
+	for !sp.expired() {
+		if mb.puts.Load() == seen {
+			continue
+		}
+		mb.mu.Lock()
+		if q := mb.queues[key]; q != nil {
+			m := mb.popLocked(key, q)
+			mb.mu.Unlock()
+			return m, true
+		}
+		seen = mb.puts.Load()
+		mb.mu.Unlock()
+	}
+	spinRanOut()
+	mb.mu.Lock()
+	return message{}, false
 }
 
 func (mb *mailbox) tryTake(key msgKey) (message, bool) {
@@ -470,12 +527,25 @@ func (c *Comm) SendRecv(dst, tag int, payload any, src int) any {
 // them avoids the interface boxing (one heap allocation per call per
 // rank) the generic path pays, making steady-state allreduces
 // allocation-free.
+//
+// Arrival is lock-free: a rank writes its own slot and bumps the atomic
+// arrival count; the rank that completes the count runs the reduce,
+// writes the result cells and advances the atomic generation. Waiters
+// read the results after observing the new generation, which the atomic
+// orders after the writes, and no rank can start the next generation
+// (and so overwrite slots or results) before every rank has left this
+// one. The mutex and condition variable serve only waits that park:
+// under contention a sync.Mutex parks on a semaphore, and every park
+// takes a sudog that the runtime may have to allocate when its per-P
+// cache sits on another P — per-arrival locking made concurrent,
+// spinning ranks allocate a few objects per hundred collectives.
 type collective struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards parking only
 	cond    *sync.Cond
+	parked  atomic.Int32 // waiters inside the park loop
 	n       int
-	gen     int
-	arrived int
+	gen     atomic.Uint64
+	arrived atomic.Int64
 	slots   []any
 	result  any
 
@@ -484,7 +554,7 @@ type collective struct {
 	sslots [][]float64 // slice contributions (headers only; cleared after reduce)
 	resF   float64
 	resI   int
-	resBuf []float64 // reduced/gathered slice, copied out under the lock
+	resBuf []float64 // reduced/gathered slice, copied out by every rank
 }
 
 func newCollective(n int) *collective {
@@ -508,14 +578,55 @@ type waitInfo struct {
 	step     int
 }
 
-// waitLocked blocks until the generation advances past gen or the
-// watchdog deadline passes; on expiry it releases c.mu first (so every
-// other stalled participant can time out too) and panics with
-// *ErrRankStalled. The timer's empty lock/unlock of c.mu orders its
-// broadcast after any waiter has entered Wait (see mailbox.take).
-func (c *collective) waitLocked(gen int, wd waitInfo) {
+// arrive counts this rank in; the caller has deposited its contribution.
+// It returns the generation being waited on and whether this rank
+// arrived last (and so runs the reduce and calls complete). The
+// generation cannot advance between the load and the add: that needs
+// this rank's arrival.
+func (c *collective) arrive() (gen uint64, last bool) {
+	gen = c.gen.Load()
+	return gen, c.arrived.Add(1) == int64(c.n)
+}
+
+// complete opens the next generation and wakes the parked waiters. A
+// waiter bumps parked under c.mu before it checks the generation, so
+// either the load below sees it — and the empty critical section orders
+// the broadcast after its Wait — or its check sees the new generation.
+func (c *collective) complete() {
+	c.arrived.Store(0)
+	c.gen.Add(1)
+	if c.parked.Load() > 0 {
+		c.mu.Lock()
+		c.mu.Unlock() //nolint:staticcheck // empty critical section is the ordering point
+		c.cond.Broadcast()
+	}
+}
+
+// wait blocks until the generation advances past gen or the watchdog
+// deadline passes; on expiry it panics with *ErrRankStalled (c.mu
+// released, so every other stalled participant can time out too). When
+// the wait policy allows (see wait.go) it first spins on the generation,
+// and only a wait that goes on to park arms the watchdog timer. The
+// timer's empty lock/unlock of c.mu orders its broadcast after any
+// waiter has entered Wait (see mailbox.take).
+func (c *collective) wait(gen uint64, wd waitInfo) {
+	if spinAllowed() {
+		var sp spinner
+		for !sp.expired() {
+			if c.gen.Load() != gen {
+				return
+			}
+		}
+		spinRanOut()
+	}
+	c.mu.Lock()
+	c.parked.Add(1)
+	defer func() {
+		c.parked.Add(-1)
+		c.mu.Unlock()
+	}()
 	if wd.deadline.IsZero() {
-		for gen == c.gen {
+		for gen == c.gen.Load() {
 			c.cond.Wait()
 		}
 		return
@@ -526,9 +637,8 @@ func (c *collective) waitLocked(gen int, wd waitInfo) {
 		c.cond.Broadcast()
 	})
 	defer timer.Stop()
-	for gen == c.gen {
+	for gen == c.gen.Load() {
 		if !time.Now().Before(wd.deadline) {
-			c.mu.Unlock()
 			panic(&ErrRankStalled{Rank: wd.rank, Tag: CollectiveTag, Step: wd.step})
 		}
 		c.cond.Wait()
@@ -538,21 +648,15 @@ func (c *collective) waitLocked(gen int, wd waitInfo) {
 // rendezvous deposits this rank's contribution, has the last arriver run
 // reduce over all contributions, and returns the common result.
 func (c *collective) rendezvous(idx int, contrib any, wd waitInfo, reduce func(slots []any) any) any {
-	c.mu.Lock()
-	gen := c.gen
 	c.slots[idx] = contrib
-	c.arrived++
-	if c.arrived == c.n {
-		c.result = reduce(c.slots)
-		c.arrived = 0
-		c.gen++
-		c.mu.Unlock()
-		c.cond.Broadcast()
+	gen, last := c.arrive()
+	if !last {
+		c.wait(gen, wd)
 		return c.result
 	}
-	c.waitLocked(gen, wd)
-	res := c.result
-	c.mu.Unlock()
+	res := reduce(c.slots)
+	c.result = res
+	c.complete()
 	return res
 }
 
@@ -595,56 +699,42 @@ func reduceInt(acc, x int, op ReduceOp) int {
 // nothing. The fold walks slots in ascending rank order, exactly like
 // the generic path, so results are bit-identical.
 func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo) float64 {
-	c.mu.Lock()
-	gen := c.gen
 	c.fslots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		acc := c.fslots[0]
-		for _, x := range c.fslots[1:] {
-			acc = reduceF64(acc, x, op)
-		}
-		c.resF = acc
-		c.arrived = 0
-		c.gen++
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return acc
+	gen, last := c.arrive()
+	if !last {
+		c.wait(gen, wd)
+		return c.resF
 	}
-	c.waitLocked(gen, wd)
-	res := c.resF
-	c.mu.Unlock()
-	return res
+	acc := c.fslots[0]
+	for _, x := range c.fslots[1:] {
+		acc = reduceF64(acc, x, op)
+	}
+	c.resF = acc
+	c.complete()
+	return acc
 }
 
 // rendezvousInt is the typed scalar-int rendezvous (see rendezvousF64).
 func (c *collective) rendezvousInt(idx int, v int, op ReduceOp, wd waitInfo) int {
-	c.mu.Lock()
-	gen := c.gen
 	c.islots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		acc := c.islots[0]
-		for _, x := range c.islots[1:] {
-			acc = reduceInt(acc, x, op)
-		}
-		c.resI = acc
-		c.arrived = 0
-		c.gen++
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return acc
+	gen, last := c.arrive()
+	if !last {
+		c.wait(gen, wd)
+		return c.resI
 	}
-	c.waitLocked(gen, wd)
-	res := c.resI
-	c.mu.Unlock()
-	return res
+	acc := c.islots[0]
+	for _, x := range c.islots[1:] {
+		acc = reduceInt(acc, x, op)
+	}
+	c.resI = acc
+	c.complete()
+	return acc
 }
 
-// copyOutLocked copies the collective result buffer into dst (grown only
-// if too small); the caller holds c.mu, which orders the copy against
-// the next generation's reduce.
-func (c *collective) copyOutLocked(dst []float64) []float64 {
+// copyOut copies the collective result buffer into dst (grown only if
+// too small). It runs after the reduce and before this rank arrives at
+// the next generation, so the buffer cannot change under it.
+func (c *collective) copyOut(dst []float64) []float64 {
 	if cap(dst) < len(c.resBuf) {
 		dst = make([]float64, len(c.resBuf))
 	}
@@ -656,65 +746,51 @@ func (c *collective) copyOutLocked(dst []float64) []float64 {
 // rendezvousSliceReduce combines the ranks' slices elementwise into dst.
 // Contributions are slice headers in a typed slot array (no boxing); the
 // last arriver reduces into the collective's persistent buffer and every
-// rank copies it out under the lock, so with pre-sized dst the call
-// allocates nothing. Contribution slots are cleared after the reduce so
-// caller vectors are not retained across steps.
+// rank copies it out, so with pre-sized dst the call allocates nothing.
+// Contribution slots are cleared after the reduce so caller vectors are
+// not retained across steps.
 func (c *collective) rendezvousSliceReduce(idx int, v []float64, op ReduceOp, dst []float64, wd waitInfo) []float64 {
-	c.mu.Lock()
-	gen := c.gen
 	c.sslots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		first := c.sslots[0]
-		if cap(c.resBuf) < len(first) {
-			c.resBuf = make([]float64, len(first))
-		}
-		c.resBuf = c.resBuf[:len(first)]
-		copy(c.resBuf, first)
-		for _, x := range c.sslots[1:] {
-			for i := range c.resBuf {
-				c.resBuf[i] = reduceF64(c.resBuf[i], x[i], op)
-			}
-		}
-		for i := range c.sslots {
-			c.sslots[i] = nil
-		}
-		c.arrived = 0
-		c.gen++
-		dst = c.copyOutLocked(dst)
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return dst
+	gen, last := c.arrive()
+	if !last {
+		c.wait(gen, wd)
+		return c.copyOut(dst)
 	}
-	c.waitLocked(gen, wd)
-	dst = c.copyOutLocked(dst)
-	c.mu.Unlock()
+	first := c.sslots[0]
+	if cap(c.resBuf) < len(first) {
+		c.resBuf = make([]float64, len(first))
+	}
+	c.resBuf = c.resBuf[:len(first)]
+	copy(c.resBuf, first)
+	for _, x := range c.sslots[1:] {
+		for i := range c.resBuf {
+			c.resBuf[i] = reduceF64(c.resBuf[i], x[i], op)
+		}
+	}
+	for i := range c.sslots {
+		c.sslots[i] = nil
+	}
+	dst = c.copyOut(dst)
+	c.complete()
 	return dst
 }
 
 // rendezvousGatherF64 gathers one float64 per rank into dst, indexed by
 // comm rank (see rendezvousSliceReduce for the allocation contract).
 func (c *collective) rendezvousGatherF64(idx int, v float64, dst []float64, wd waitInfo) []float64 {
-	c.mu.Lock()
-	gen := c.gen
 	c.fslots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		if cap(c.resBuf) < c.n {
-			c.resBuf = make([]float64, c.n)
-		}
-		c.resBuf = c.resBuf[:c.n]
-		copy(c.resBuf, c.fslots)
-		c.arrived = 0
-		c.gen++
-		dst = c.copyOutLocked(dst)
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return dst
+	gen, last := c.arrive()
+	if !last {
+		c.wait(gen, wd)
+		return c.copyOut(dst)
 	}
-	c.waitLocked(gen, wd)
-	dst = c.copyOutLocked(dst)
-	c.mu.Unlock()
+	if cap(c.resBuf) < c.n {
+		c.resBuf = make([]float64, c.n)
+	}
+	c.resBuf = c.resBuf[:c.n]
+	copy(c.resBuf, c.fslots)
+	dst = c.copyOut(dst)
+	c.complete()
 	return dst
 }
 
